@@ -44,9 +44,10 @@ race:
 # instrumentation inserts allocations of its own, so AllocsPerRun is
 # only meaningful on an uninstrumented build. Covers the flight
 # recorder (internal/obs), the event/packet arenas (internal/netsim),
-# the wire codec and the simulator backend's send/deliver path.
+# the wire codec, the simulator backend's send/deliver path and the
+# experiment service's cache-key hashing.
 allocgate:
-	$(GO) test -run 'Alloc' -v ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend
+	$(GO) test -run 'Alloc' -v ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/service/confhash
 
 # Chaos matrix under -race: every impairment × CC algo × seed must
 # complete (or error cleanly) with a balanced loss ledger, and a wedged

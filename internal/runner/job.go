@@ -111,6 +111,9 @@ type DownloadResult struct {
 	MaxG        int     // SUSS only
 	AccelRounds int     // SUSS only
 	Completed   bool
+	// DecodeDrops counts frames the simulator backend dropped because
+	// they failed the strict wire decode; a healthy path delivers none.
+	DecodeDrops uint64
 	// Ledger is the cross-layer loss accounting (nil unless
 	// Job.Observe was set).
 	Ledger *obs.LossLedger
@@ -213,18 +216,19 @@ func Download(j Job) DownloadResult {
 	last := p.Fwd[len(p.Fwd)-1]
 	lst := last.Stats()
 	res := DownloadResult{
-		Algo:      j.Algo,
-		Size:      j.Size,
-		FCT:       f.FCT(),
-		Delivered: f.Sender.Delivered(),
-		Segments:  f.Sender.Stats().SegmentsSent,
-		Retrans:   f.Sender.Stats().Retransmissions,
-		RTOs:      f.Sender.Stats().RTOs,
-		Drops:     lst.DroppedPackets + lst.ErasedPackets,
-		PeakQueue: lst.MaxQueueBytes,
-		Completed: f.Done(),
-		FlowErr:   f.Sender.Err(),
-		Stall:     stall,
+		Algo:        j.Algo,
+		Size:        j.Size,
+		FCT:         f.FCT(),
+		Delivered:   f.Sender.Delivered(),
+		Segments:    f.Sender.Stats().SegmentsSent,
+		Retrans:     f.Sender.Stats().Retransmissions,
+		RTOs:        f.Sender.Stats().RTOs,
+		Drops:       lst.DroppedPackets + lst.ErasedPackets,
+		PeakQueue:   lst.MaxQueueBytes,
+		Completed:   f.Done(),
+		DecodeDrops: f.DecodeDrops(),
+		FlowErr:     f.Sender.Err(),
+		Stall:       stall,
 	}
 	offered := lst.EnqueuedPackets + lst.DroppedPackets
 	if offered > 0 {

@@ -228,8 +228,18 @@ type cellDownload struct {
 	Err         string        `json:"err,omitempty"`
 }
 
-func encodeJobCell(r runner.Result) ([]byte, error) {
-	c := cellDownload{
+// decodeCell is the Cache decode hook for both cell kinds: it decodes
+// one record into a fresh *T.
+func decodeCell[T cellDownload | cellShard](raw []byte) (any, error) {
+	c := new(T)
+	if err := json.Unmarshal(raw, c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func newJobCell(r runner.Result) *cellDownload {
+	c := &cellDownload{
 		FCT:         r.FCT,
 		LossRate:    r.LossRate,
 		Delivered:   r.Delivered,
@@ -245,14 +255,12 @@ func encodeJobCell(r runner.Result) ([]byte, error) {
 	if r.Err != nil {
 		c.Err = r.Err.Error()
 	}
-	return json.Marshal(c)
+	return c
 }
 
-func decodeJobCell(j runner.Job, raw []byte) (runner.Result, error) {
-	var c cellDownload
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return runner.Result{}, err
-	}
+// jobCellResult rebuilds the download result a cached cell stands for.
+// It copies scalars only, so the shared cell is never aliased.
+func jobCellResult(j runner.Job, c *cellDownload) runner.Result {
 	res := runner.Result{
 		Job: j,
 		DownloadResult: runner.DownloadResult{
@@ -274,7 +282,7 @@ func decodeJobCell(j runner.Job, raw []byte) (runner.Result, error) {
 	if c.Err != "" {
 		res.Err = errors.New(c.Err)
 	}
-	return res, nil
+	return res
 }
 
 // cellShard is the serializable form of one fleet cell. ShardResult is
@@ -285,24 +293,31 @@ type cellShard struct {
 	Err   string             `json:"err,omitempty"`
 }
 
-func encodeShardCell(r runner.FleetResult) ([]byte, error) {
-	c := cellShard{Shard: r.ShardResult}
+func newShardCell(r runner.FleetResult) *cellShard {
+	c := &cellShard{Shard: r.ShardResult}
 	if r.Err != nil {
 		c.Err = r.Err.Error()
 	}
-	return json.Marshal(c)
+	return c
 }
 
-func decodeShardCell(raw []byte) (runner.FleetResult, error) {
-	var c cellShard
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return runner.FleetResult{}, err
-	}
+// shardCellResult rebuilds the fleet result a cached cell stands for.
+// The result shares the cell's Flows, which the fleet fold only reads.
+func shardCellResult(c *cellShard) runner.FleetResult {
 	res := runner.FleetResult{ShardResult: c.Shard}
 	if c.Err != "" {
 		res.Err = errors.New(c.Err)
 	}
-	return res, nil
+	return res
+}
+
+// cacheCell stores a freshly simulated cell in decoded form; its JSON
+// encoding is what the cache log appends. A cell that cannot be encoded
+// is not cached at all.
+func (s *Server) cacheCell(key string, cell any) {
+	if raw, err := json.Marshal(cell); err == nil {
+		s.cache.Put(key, cell, raw)
+	}
 }
 
 // fig11Plan is a validated fig11 submission: the job matrix in
@@ -345,12 +360,10 @@ func (s *Server) runFig11(b *batch, p fig11Plan) {
 	results := make([]runner.Result, len(p.jobs))
 	var miss []int
 	for i := range p.jobs {
-		if raw, ok := s.cache.Get(b.cells[i].Key); ok {
-			if res, err := decodeJobCell(p.jobs[i], raw); err == nil {
-				results[i] = res
-				b.setCell(i, CellCached, "")
-				continue
-			}
+		if c, ok := s.cache.Get(b.cells[i].Key, decodeCell[cellDownload]); ok {
+			results[i] = jobCellResult(p.jobs[i], c.(*cellDownload))
+			b.setCell(i, CellCached, "")
+			continue
 		}
 		miss = append(miss, i)
 	}
@@ -374,9 +387,7 @@ func (s *Server) runFig11(b *batch, p fig11Plan) {
 		// wall-clock artifacts, not properties of the config; everything
 		// else (including a deterministic incomplete flow) is cacheable.
 		if res.Stall == nil {
-			if raw, err := encodeJobCell(res); err == nil {
-				s.cache.Put(b.cells[i].Key, raw)
-			}
+			s.cacheCell(b.cells[i].Key, newJobCell(res))
 		}
 		if res.Err != nil {
 			b.setCell(i, CellError, res.Err.Error())
@@ -428,12 +439,10 @@ func (s *Server) runFleet(b *batch, p fleetPlan) {
 	results := [2][]runner.FleetResult{make([]runner.FleetResult, n), make([]runner.FleetResult, n)}
 	var miss []int
 	for i := range b.cells {
-		if raw, ok := s.cache.Get(b.cells[i].Key); ok {
-			if res, err := decodeShardCell(raw); err == nil {
-				results[i/n][i%n] = res
-				b.setCell(i, CellCached, "")
-				continue
-			}
+		if c, ok := s.cache.Get(b.cells[i].Key, decodeCell[cellShard]); ok {
+			results[i/n][i%n] = shardCellResult(c.(*cellShard))
+			b.setCell(i, CellCached, "")
+			continue
 		}
 		miss = append(miss, i)
 	}
@@ -454,9 +463,7 @@ func (s *Server) runFleet(b *batch, p fleetPlan) {
 		// Cache per cell as it completes (see runFig11): crash or cancel
 		// mid-batch loses only the in-flight shards.
 		if res.Err == nil && res.Stall == nil {
-			if raw, err := encodeShardCell(res); err == nil {
-				s.cache.Put(b.cells[i].Key, raw)
-			}
+			s.cacheCell(b.cells[i].Key, newShardCell(res))
 		}
 		if res.Err != nil {
 			b.setCell(i, CellError, res.Err.Error())

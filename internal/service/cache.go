@@ -6,11 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// Cache is the content-addressed result store: confhash key → encoded
-// cell result. Entries are immutable once stored (a key is a hash of
+// Cache is the content-addressed result store: confhash key → cell
+// result. Entries are immutable once stored (a key is a hash of
 // everything that determines the result, so there is nothing to
 // update) and live for the daemon's lifetime — a simulation cell is a
 // few hundred bytes, so even a week of sweeps is megabytes.
+//
+// An entry holds a cell in one of two forms. A record replayed from the
+// log stays encoded until its first hit decodes it and drops the bytes;
+// a cell the daemon simulated itself is stored decoded from the start.
+// Either way a warm hit after the first costs a map lookup, startup
+// replay never decodes, and no entry keeps both forms at once. Decoded
+// cells are shared by every batch they serve and must be treated as
+// read-only.
 //
 // With a backing log (NewPersistentCache) every Put is also appended
 // to an append-only record file, and a restarted daemon replays it so
@@ -18,7 +26,7 @@ import (
 // recovery rules.
 type Cache struct {
 	mu          sync.Mutex
-	entries     map[string][]byte
+	entries     map[string]cacheEntry
 	log         *cacheLog // nil = memory-only
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -26,9 +34,18 @@ type Cache struct {
 	persistErr  error // first append failure, for diagnostics
 }
 
+// cacheEntry is one cell: raw holds a replayed record until its first
+// hit, cell the decoded form (*cellDownload or *cellShard) from then
+// on. Only replay stores raw entries, so an entry's bytes never change
+// while it waits to be decoded.
+type cacheEntry struct {
+	raw  []byte
+	cell any
+}
+
 // NewCache returns an empty memory-only cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[string][]byte)}
+	return &Cache{entries: make(map[string]cacheEntry)}
 }
 
 // NewPersistentCache opens (or creates) the record log at path,
@@ -45,19 +62,36 @@ func NewPersistentCache(path string) (*Cache, RecoveryInfo, error) {
 	return c, info, nil
 }
 
-// Get returns the entry for key and counts the lookup as a hit or a
-// miss. Executors call it exactly once per cell, so the counters read
-// as "cells served from cache" vs "cells that had to simulate".
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the decoded cell for key and counts the lookup as a hit
+// or a miss. Executors call it exactly once per cell, so the counters
+// read as "cells served from cache" vs "cells that had to simulate".
+//
+// A replayed record is decoded with decode on its first hit, outside
+// the lock, and the decoded cell replaces the bytes. A record that
+// fails to decode counts as a miss: the executor re-simulates the cell
+// and its Put replaces the record.
+func (c *Cache) Get(key string, decode func([]byte) (any, error)) (any, bool) {
 	c.mu.Lock()
-	v, ok := c.entries[key]
+	e, ok := c.entries[key]
 	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	cell := e.cell
+	if ok && cell == nil {
+		d, err := decode(e.raw)
+		c.mu.Lock()
+		if cur := c.entries[key]; cur.cell != nil {
+			cell = cur.cell // decoded meanwhile by a concurrent hit or a Put
+		} else if err == nil {
+			c.entries[key] = cacheEntry{cell: d}
+			cell = d
+		}
+		c.mu.Unlock()
 	}
-	return v, ok
+	if cell == nil {
+		c.misses.Add(1)
+		return nil, false
+	}
+	c.hits.Add(1)
+	return cell, true
 }
 
 // Contains reports presence without touching the hit/miss counters —
@@ -70,21 +104,23 @@ func (c *Cache) Contains(key string) bool {
 	return ok
 }
 
-// Put stores an entry and, when the cache is persistent, appends it to
-// the record log. Storing the same key twice is harmless: both writers
-// computed the value from the same config, so the bytes match — and
-// the duplicate is not re-appended. A failed append keeps the daemon
-// serving from memory; the failure is counted (PersistErrors) rather
-// than surfaced per-cell.
-func (c *Cache) Put(key string, val []byte) {
+// Put stores a cell the daemon simulated, in decoded form, and, when
+// the cache is persistent, appends raw — the cell's encoding — to the
+// record log. Storing the same key twice is harmless: both writers
+// computed the value from the same config, so a key that already holds
+// a decoded cell or the same record bytes keeps them, and the duplicate
+// is not re-appended. A failed append keeps the daemon serving from
+// memory; the failure is counted (PersistErrors) rather than surfaced
+// per-cell.
+func (c *Cache) Put(key string, cell any, raw []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[key]; ok && bytes.Equal(old, val) {
+	if old, ok := c.entries[key]; ok && (old.cell != nil || bytes.Equal(old.raw, raw)) {
 		return
 	}
-	c.entries[key] = val
+	c.entries[key] = cacheEntry{cell: cell}
 	if c.log != nil {
-		if err := c.log.append(key, val); err != nil {
+		if err := c.log.append(key, raw); err != nil {
 			if c.persistErr == nil {
 				c.persistErr = err
 			}

@@ -8,12 +8,12 @@
 // Two mechanisms deliver that:
 //
 //   - Canonicalization: a config is rendered into a deterministic
-//     textual form by reflection — struct fields sorted by name, maps
-//     sorted by key, pointers dereferenced (nil renders as null),
-//     interface values tagged with their concrete type, floats in
-//     shortest round-trip form. The rendering depends only on field
-//     names and values, never on declaration order or on how the
-//     caller spelled the literal.
+//     textual form by reflection — struct fields sorted by name (the
+//     order is planned once per type), maps sorted by key, pointers
+//     dereferenced (nil renders as null), interface values tagged with
+//     their concrete type, floats in shortest round-trip form. The
+//     rendering depends only on field names and values, never on
+//     declaration order or on how the caller spelled the literal.
 //
 //   - Normalization: before hashing, every defaulted field is replaced
 //     by the value the runner would actually use (zero Horizon becomes
@@ -29,6 +29,7 @@
 package confhash
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -36,7 +37,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 
 	"suss/internal/core"
 	"suss/internal/runner"
@@ -47,138 +48,171 @@ import (
 // Canonical renders v into the deterministic textual form described in
 // the package comment. It errors on values that cannot be canonically
 // rendered: non-nil funcs, channels, unsafe pointers.
-func Canonical(v any) (string, error) {
-	var b strings.Builder
-	if err := render(&b, reflect.ValueOf(v)); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+func Canonical(v any) (s string, err error) {
+	err = canonical(v, func(b []byte) { s = string(b) })
+	return s, err
 }
 
 // Sum returns the hex SHA-256 of Canonical(v).
-func Sum(v any) (string, error) {
-	c, err := Canonical(v)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256([]byte(c))
-	return hex.EncodeToString(h[:]), nil
+func Sum(v any) (string, error) { return sum("", v) }
+
+// sum returns prefix followed by the hex SHA-256 of Canonical(v),
+// hashing the canonical bytes in place and building the key in one
+// allocation.
+func sum(prefix string, v any) (key string, err error) {
+	err = canonical(v, func(b []byte) {
+		h := sha256.Sum256(b)
+		var buf [16 + 2*sha256.Size]byte
+		key = string(hex.AppendEncode(append(buf[:0], prefix...), h[:]))
+	})
+	return key, err
 }
 
-func render(b *strings.Builder, v reflect.Value) error {
+// bufPool recycles render buffers across keys; a config renders to a
+// few kilobytes at most, so a pooled buffer stops growing after the
+// first few calls.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
+
+// canonical renders v into a pooled buffer and hands the bytes to use,
+// which must not retain them.
+func canonical(v any, use func([]byte)) error {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	b, err := appendValue((*bp)[:0], reflect.ValueOf(v))
+	*bp = b
+	if err != nil {
+		return err
+	}
+	use(b)
+	return nil
+}
+
+// planField is one exported struct field in rendering order, with the
+// text that precedes its value ("Name:" for the first field, ",Name:"
+// after).
+type planField struct {
+	index  int
+	name   string
+	prefix string
+}
+
+var plans sync.Map // reflect.Type → []planField
+
+// planOf returns t's exported fields sorted by name, computed once per
+// struct type.
+func planOf(t reflect.Type) []planField {
+	if p, ok := plans.Load(t); ok {
+		return p.([]planField)
+	}
+	var fs []planField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.PkgPath != "" { // unexported: not part of a config's identity
+			continue
+		}
+		fs = append(fs, planField{index: i, name: f.Name})
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i].name < fs[j].name })
+	for i := range fs {
+		fs[i].prefix = "," + fs[i].name + ":"
+		if i == 0 {
+			fs[i].prefix = fs[i].prefix[1:]
+		}
+	}
+	p, _ := plans.LoadOrStore(t, fs)
+	return p.([]planField)
+}
+
+func appendValue(b []byte, v reflect.Value) ([]byte, error) {
 	if !v.IsValid() {
-		b.WriteString("null")
-		return nil
+		return append(b, "null"...), nil
 	}
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
-			b.WriteString("null")
-			return nil
+			return append(b, "null"...), nil
 		}
-		return render(b, v.Elem())
+		return appendValue(b, v.Elem())
 	case reflect.Interface:
 		if v.IsNil() {
-			b.WriteString("null")
-			return nil
+			return append(b, "null"...), nil
 		}
 		// The concrete type is part of the identity: two arrival
 		// processes with coincidentally equal field renderings must not
 		// collide.
-		b.WriteByte('<')
-		b.WriteString(v.Elem().Type().String())
-		b.WriteByte('>')
-		return render(b, v.Elem())
+		b = append(b, '<')
+		b = append(b, v.Elem().Type().String()...)
+		b = append(b, '>')
+		return appendValue(b, v.Elem())
 	case reflect.Struct:
-		t := v.Type()
-		names := make([]string, 0, t.NumField())
-		byName := make(map[string]reflect.Value, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" { // unexported: not part of a config's identity
-				continue
-			}
-			names = append(names, f.Name)
-			byName[f.Name] = v.Field(i)
-		}
-		sort.Strings(names)
-		b.WriteByte('{')
-		for i, n := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(n)
-			b.WriteByte(':')
-			if err := render(b, byName[n]); err != nil {
-				return fmt.Errorf("%s.%s: %w", t, n, err)
+		b = append(b, '{')
+		for _, f := range planOf(v.Type()) {
+			b = append(b, f.prefix...)
+			var err error
+			if b, err = appendValue(b, v.Field(f.index)); err != nil {
+				return b, fmt.Errorf("%s.%s: %w", v.Type(), f.name, err)
 			}
 		}
-		b.WriteByte('}')
-		return nil
+		return append(b, '}'), nil
 	case reflect.Map:
-		keys := v.MapKeys()
-		type kv struct{ k, val string }
-		ents := make([]kv, 0, len(keys))
-		for _, k := range keys {
-			var kb, vb strings.Builder
-			if err := render(&kb, k); err != nil {
-				return err
+		// Entries sort by rendered key. Configs rarely hold maps, so
+		// each entry simply renders into its own buffer.
+		type kv struct{ k, val []byte }
+		ents := make([]kv, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			k, err := appendValue(nil, it.Key())
+			if err != nil {
+				return b, err
 			}
-			if err := render(&vb, v.MapIndex(k)); err != nil {
-				return err
+			val, err := appendValue(nil, it.Value())
+			if err != nil {
+				return b, err
 			}
-			ents = append(ents, kv{kb.String(), vb.String()})
+			ents = append(ents, kv{k, val})
 		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i].k < ents[j].k })
-		b.WriteByte('{')
+		sort.Slice(ents, func(i, j int) bool { return bytes.Compare(ents[i].k, ents[j].k) < 0 })
+		b = append(b, '{')
 		for i, e := range ents {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(e.k)
-			b.WriteByte(':')
-			b.WriteString(e.val)
+			b = append(b, e.k...)
+			b = append(b, ':')
+			b = append(b, e.val...)
 		}
-		b.WriteByte('}')
-		return nil
+		return append(b, '}'), nil
 	case reflect.Slice, reflect.Array:
 		// A nil slice and an empty one render identically: both mean
 		// "nothing here", and normalization decides what that defaults to.
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i := 0; i < v.Len(); i++ {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			if err := render(b, v.Index(i)); err != nil {
-				return err
+			var err error
+			if b, err = appendValue(b, v.Index(i)); err != nil {
+				return b, err
 			}
 		}
-		b.WriteByte(']')
-		return nil
+		return append(b, ']'), nil
 	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
-		return nil
+		return strconv.AppendQuote(b, v.String()), nil
 	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
-		return nil
+		return strconv.AppendBool(b, v.Bool()), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
-		return nil
+		return strconv.AppendInt(b, v.Int(), 10), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
-		return nil
+		return strconv.AppendUint(b, v.Uint(), 10), nil
 	case reflect.Float32, reflect.Float64:
 		// Shortest round-trip form: exact, platform-independent.
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
-		return nil
+		return strconv.AppendFloat(b, v.Float(), 'g', -1, 64), nil
 	case reflect.Func:
 		if v.IsNil() {
-			b.WriteString("null")
-			return nil
+			return append(b, "null"...), nil
 		}
-		return errors.New("func value has no canonical form")
+		return b, errors.New("func value has no canonical form")
 	default:
-		return fmt.Errorf("%s value has no canonical form", v.Kind())
+		return b, fmt.Errorf("%s value has no canonical form", v.Kind())
 	}
 }
 
@@ -190,11 +224,7 @@ func JobKey(j runner.Job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s, err := Sum(n)
-	if err != nil {
-		return "", err
-	}
-	return "job:" + s, nil
+	return sum("job:", n)
 }
 
 // FleetKey returns the cache key of one fleet shard job.
@@ -203,11 +233,7 @@ func FleetKey(j runner.FleetJob) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s, err := Sum(n)
-	if err != nil {
-		return "", err
-	}
-	return "fleet:" + s, nil
+	return sum("fleet:", n)
 }
 
 // NormalizeJob maps a download job onto its canonical representative:

@@ -236,3 +236,39 @@ func TestCanonicalStability(t *testing.T) {
 		t.Error("non-nil func rendered canonically")
 	}
 }
+
+var keySink string
+
+// BenchmarkJobKey keys one whole fig11 submission (252 cells), the
+// work a warm sussd submit does before it touches the cache.
+func BenchmarkJobKey(b *testing.B) {
+	jobs := experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			k, err := JobKey(j)
+			if err != nil {
+				b.Fatal(err)
+			}
+			keySink = k
+		}
+	}
+}
+
+// TestJobKeyAllocs bounds the allocations of one fig11 key: the
+// normalized Transport and SussOpt, boxing the job for rendering, and
+// the key string. Rendering and hashing run in a pooled buffer and
+// reuse the per-type plans, so they add nothing.
+func TestJobKeyAllocs(t *testing.T) {
+	jobs := experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, 1)
+	j := jobs[3] // a SUSS cell: normalization fills both pointers
+	if j.Algo != runner.Suss {
+		t.Fatalf("cell 3 is %v, want a SUSS cell", j.Algo)
+	}
+	mustJobKey(t, j) // build the type plans
+	const maxAllocs = 4
+	if got := testing.AllocsPerRun(200, func() { mustJobKey(t, j) }); got > maxAllocs {
+		t.Errorf("one fig11 JobKey allocates %v times, want <= %d", got, maxAllocs)
+	}
+}

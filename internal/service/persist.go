@@ -69,7 +69,7 @@ type cacheLog struct {
 // openCacheLog opens (or creates) the log at path, replays every
 // intact record into entries, and truncates the file at the first bad
 // record so subsequent appends extend a known-good prefix.
-func openCacheLog(path string, entries map[string][]byte) (*cacheLog, RecoveryInfo, error) {
+func openCacheLog(path string, entries map[string]cacheEntry) (*cacheLog, RecoveryInfo, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
@@ -101,7 +101,7 @@ func openCacheLog(path string, entries map[string][]byte) (*cacheLog, RecoveryIn
 // replay scans the file and fills entries, returning the offset of the
 // last intact record's end. It never errors on corruption — that is
 // reported in RecoveryInfo and handled by truncation — only on I/O.
-func replay(f *os.File, entries map[string][]byte) (RecoveryInfo, int64, error) {
+func replay(f *os.File, entries map[string]cacheEntry) (RecoveryInfo, int64, error) {
 	var info RecoveryInfo
 	st, err := f.Stat()
 	if err != nil {
@@ -152,7 +152,7 @@ func replay(f *os.File, entries map[string][]byte) (RecoveryInfo, int64, error) 
 			info.Truncated, info.Reason = true, "record key overruns payload"
 			break
 		}
-		entries[string(payload[2:2+klen])] = payload[2+klen:]
+		entries[string(payload[2:2+klen])] = cacheEntry{raw: payload[2+klen:]}
 		good += int64(frameLen) + int64(n)
 		info.Entries++
 	}

@@ -24,10 +24,16 @@ func mustOpen(t *testing.T, path string) (*Cache, RecoveryInfo) {
 	return c, info
 }
 
+// putString stores val as both the cell and its record bytes.
+func putString(c *Cache, key, val string) { c.Put(key, val, []byte(val)) }
+
+// stringCell is the decode hook matching putString.
+func stringCell(raw []byte) (any, error) { return string(raw), nil }
+
 func fillCache(t *testing.T, c *Cache, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		c.Put(fmt.Sprintf("key-%04d", i), []byte(fmt.Sprintf(`{"cell":%d}`, i)))
+		putString(c, fmt.Sprintf("key-%04d", i), fmt.Sprintf(`{"cell":%d}`, i))
 	}
 }
 
@@ -50,8 +56,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("reopen recovery = %+v, want 20 clean entries", info2)
 	}
 	for i := 0; i < 20; i++ {
-		v, ok := c2.Get(fmt.Sprintf("key-%04d", i))
-		if !ok || string(v) != fmt.Sprintf(`{"cell":%d}`, i) {
+		v, ok := c2.Get(fmt.Sprintf("key-%04d", i), stringCell)
+		if !ok || v != fmt.Sprintf(`{"cell":%d}`, i) {
 			t.Fatalf("key-%04d after reopen: %q ok=%v", i, v, ok)
 		}
 	}
@@ -86,14 +92,14 @@ func TestPersistTornTailRecovered(t *testing.T) {
 		t.Errorf("recovery reason %q does not mention the torn tail", info.Reason)
 	}
 	// The truncated file is a valid log again: append and re-replay.
-	c2.Put("after-recovery", []byte("v"))
+	putString(c2, "after-recovery", "v")
 	c2.Close()
 	c3, info3 := mustOpen(t, path)
 	defer c3.Close()
 	if info3.Entries != 6 || info3.Truncated {
 		t.Fatalf("post-recovery reopen = %+v, want 6 clean entries", info3)
 	}
-	if _, ok := c3.Get("after-recovery"); !ok {
+	if _, ok := c3.Get("after-recovery", stringCell); !ok {
 		t.Error("record appended after recovery was lost")
 	}
 }
@@ -131,7 +137,7 @@ func TestPersistCorruptRecordTruncatesTail(t *testing.T) {
 	if !strings.Contains(info.Reason, "checksum") {
 		t.Errorf("recovery reason %q does not mention the checksum", info.Reason)
 	}
-	if _, ok := c2.Get("key-0002"); !ok {
+	if _, ok := c2.Get("key-0002", stringCell); !ok {
 		t.Error("intact record before the corruption was dropped")
 	}
 	if c2.Contains("key-0004") || c2.Contains("key-0005") {
@@ -150,7 +156,7 @@ func TestPersistHeaderEdgeCases(t *testing.T) {
 	if !info.Truncated || info.DroppedBytes != 4 {
 		t.Errorf("torn-header recovery = %+v, want 4 dropped bytes", info)
 	}
-	c.Put("k", []byte("v"))
+	putString(c, "k", "v")
 	c.Close()
 	c2, info2 := mustOpen(t, short)
 	if info2.Entries != 1 || info2.Truncated {
@@ -179,12 +185,12 @@ func TestPersistHeaderEdgeCases(t *testing.T) {
 func TestPersistDuplicatePutNotReappended(t *testing.T) {
 	path := tmpCachePath(t)
 	c, _ := mustOpen(t, path)
-	c.Put("dup", []byte("value"))
+	putString(c, "dup", "value")
 	st1, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("dup", []byte("value"))
+	putString(c, "dup", "value")
 	st2, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

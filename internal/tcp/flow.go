@@ -30,6 +30,7 @@ type Flow struct {
 	CompletedAt time.Duration
 	startAt     time.Duration
 	senderSim   *netsim.Simulator // sender's event domain (NewFlow only)
+	simConns    [2]*simbackend.Conn
 }
 
 // NewFlowOver wires a sender and receiver for a size-byte transfer
@@ -68,7 +69,21 @@ func NewFlow(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
 	rconn := simbackend.New(hostSim(dstHost, sim), dstHost, dstMux, srcHost.ID(), id)
 	f := NewFlowOver(cfg, id, sconn, rconn, size, ctrl)
 	f.senderSim = hostSim(srcHost, sim)
+	f.simConns = [2]*simbackend.Conn{sconn, rconn}
 	return f
+}
+
+// DecodeDrops returns how many frames both endpoints dropped for
+// failing the strict wire decode (always zero for flows not built with
+// NewFlow).
+func (f *Flow) DecodeDrops() uint64 {
+	var n uint64
+	for _, c := range f.simConns {
+		if c != nil {
+			n += c.DecodeDrops()
+		}
+	}
+	return n
 }
 
 func hostSim(h *netsim.Host, fallback *netsim.Simulator) *netsim.Simulator {

@@ -69,6 +69,10 @@ type Conn struct {
 
 	h       wire.Handler
 	scratch wire.Segment
+	// decodeDrops counts delivered frames that failed the strict
+	// decode. A conn lives in one event domain, so a plain counter
+	// suffices.
+	decodeDrops uint64
 
 	// seqNear/ackNear anchor the 32→64-bit unwrap of outgoing wire
 	// values when reconstructing the packet annotation fields.
@@ -163,10 +167,15 @@ func (c *Conn) deliver(pkt *netsim.Packet) {
 	defer pkt.Release()
 	n, err := wire.DecodeSegment(pkt.Frame(), &c.scratch)
 	if err != nil {
+		c.decodeDrops++
 		return
 	}
 	c.h(&c.scratch, n)
 }
+
+// DecodeDrops returns how many frames delivered to this conn failed
+// the strict decode and were dropped before reaching the handler.
+func (c *Conn) DecodeDrops() uint64 { return c.decodeDrops }
 
 // Close implements wire.Conn.
 func (c *Conn) Close() error {

@@ -194,3 +194,64 @@ func TestSendDeliverAllocsZero(t *testing.T) {
 		t.Fatalf("delivered = %d", delivered)
 	}
 }
+
+// sendUndecodable injects a packet for flow 1 whose frame is empty, so
+// the receiving conn's strict decode rejects it.
+func sendUndecodable(sim *netsim.Simulator, p *netsim.Path) {
+	pkt := sim.Pool().Get()
+	pkt.SetFrameLen(0)
+	pkt.Flow = 1
+	pkt.Dst = p.Receiver.ID()
+	pkt.Size = 60
+	p.Sender.Send(pkt)
+}
+
+// TestUndecodableFrameCounted checks that a frame failing the strict
+// decode is dropped visibly: counted on the conn, never handed to the
+// endpoint, and its packet released.
+func TestUndecodableFrameCounted(t *testing.T) {
+	sim := netsim.NewSimulator()
+	p := testPath(sim)
+	rcv := simbackend.New(sim, p.Receiver, simbackend.NewDemux(p.Receiver), p.Sender.ID(), 1)
+	handled := 0
+	rcv.SetHandler(func(*wire.Segment, int) { handled++ })
+
+	sim.Schedule(0, func() { sendUndecodable(sim, p) })
+	sim.RunAll()
+
+	if got := rcv.DecodeDrops(); got != 1 {
+		t.Errorf("DecodeDrops = %d, want 1", got)
+	}
+	if handled != 0 {
+		t.Errorf("handler saw %d undecodable frame(s)", handled)
+	}
+	if st := sim.Pool().Stats(); st.Outstanding() != 0 {
+		t.Errorf("%d packets leaked by the drop path", st.Outstanding())
+	}
+}
+
+// TestDecodeDropAllocsZero gates the drop path the way
+// TestSendDeliverAllocsZero gates delivery: counting a rejected frame
+// must not allocate.
+func TestDecodeDropAllocsZero(t *testing.T) {
+	sim := netsim.NewSimulator()
+	if sequestering(sim) {
+		t.Skip("sussdebug: pool sequesters, steady state allocates by design")
+	}
+	p := testPath(sim)
+	rcv := simbackend.New(sim, p.Receiver, simbackend.NewDemux(p.Receiver), p.Sender.ID(), 1)
+	rcv.SetHandler(func(*wire.Segment, int) {})
+	cycle := func() {
+		sendUndecodable(sim, p)
+		sim.RunAll()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs > 0 {
+		t.Errorf("decode-drop cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+	if rcv.DecodeDrops() < 564 {
+		t.Fatalf("DecodeDrops = %d, want every injected frame counted", rcv.DecodeDrops())
+	}
+}
