@@ -10,7 +10,7 @@ BENCH_HEAD ?= bench.head.txt
 # gates at zero increase).
 BENCH_TOL ?= 0.10
 
-.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults domains bench bench-sched bench-baseline bench-compare bench-record bench-gate clean
+.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults perfbench-check bench bench-sched bench-baseline bench-compare bench-record bench-gate clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -105,12 +105,11 @@ sussd-smoke:
 sussd-faults:
 	$(GO) test -race -timeout 600s -run 'TestSussdFaultRecovery|TestSussdCorruptCacheRecovery' -v ./cmd/sussim
 
-# Parallel-event-domain determinism under -race: the cluster protocol
-# tests plus every differential that replays the same workload
-# monolithically and split across domains (trees, fleet shards, the
-# chaos catalog, the fig11/fleet sweeps) and requires identical bytes.
-domains:
-	$(GO) test -race -timeout 600s -run 'Domain|Cluster' ./internal/netsim ./internal/runner ./internal/chaos ./internal/experiments
+# The benchmark harness under perfbench/ is its own Go module, so
+# `go build ./...` at the root never compiles it. Vet and test it
+# against the current tree so an API change that breaks it fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -176,20 +175,6 @@ FLEET_BENCH = 'BenchmarkFleetShard$$'
 FLEET_FLAGS = -benchmem -benchtime 1x -count 10
 FLEET_ALLOC_SLACK = 64
 FLEET_NS_TOL = 1.0
-# The domains gate replays the same 600-flow shard monolithically
-# (domains=1) and across a 10-way partition. The domains=1 half
-# inherits the fleet gate's tolerances (deterministic serial replay,
-# map hash-seed alloc noise); the domains=10 half additionally wobbles
-# with goroutine scheduling, so the ns tolerance is shared and loose.
-# -minspeedup is the parallel gate proper: the domains=1 / domains=10
-# ns/op ratio must reach 2x — enforced only when the machine reports
-# GOMAXPROCS >= 4 (a barrier-synchronized cluster cannot express the
-# speedup without cores), reported as a notice otherwise.
-DOMAINS_BENCH = 'BenchmarkTreeDomains$$'
-DOMAINS_FLAGS = -benchmem -benchtime 1x -count 6
-DOMAINS_ALLOC_SLACK = 96
-DOMAINS_NS_TOL = 1.0
-DOMAINS_MIN_SPEEDUP = 2.0
 
 bench-record:
 	$(GO) test -run '^$$' -bench $(FIG11_BENCH) $(FIG11_FLAGS) . > bench.fig11.txt
@@ -198,8 +183,6 @@ bench-record:
 	$(GO) run ./cmd/benchgate -record BENCH_sched.json < bench.sched.txt
 	$(GO) test -run '^$$' -bench $(FLEET_BENCH) $(FLEET_FLAGS) ./internal/runner > bench.fleet.txt
 	$(GO) run ./cmd/benchgate -record BENCH_fleet.json < bench.fleet.txt
-	$(GO) test -run '^$$' -bench $(DOMAINS_BENCH) $(DOMAINS_FLAGS) ./internal/runner > bench.domains.txt
-	$(GO) run ./cmd/benchgate -record BENCH_domains.json < bench.domains.txt
 
 bench-gate:
 	$(GO) test -run '^$$' -bench $(FIG11_BENCH) $(FIG11_FLAGS) . > bench.fig11.txt
@@ -208,9 +191,7 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -tolerance $(BENCH_TOL) -compare BENCH_sched.json < bench.sched.txt
 	$(GO) test -run '^$$' -bench $(FLEET_BENCH) $(FLEET_FLAGS) ./internal/runner > bench.fleet.txt
 	$(GO) run ./cmd/benchgate -tolerance $(FLEET_NS_TOL) -allocslack $(FLEET_ALLOC_SLACK) -compare BENCH_fleet.json < bench.fleet.txt
-	$(GO) test -run '^$$' -bench $(DOMAINS_BENCH) $(DOMAINS_FLAGS) ./internal/runner > bench.domains.txt
-	$(GO) run ./cmd/benchgate -tolerance $(DOMAINS_NS_TOL) -allocslack $(DOMAINS_ALLOC_SLACK) -minspeedup $(DOMAINS_MIN_SPEEDUP) -compare BENCH_domains.json < bench.domains.txt
 
 clean:
 	$(GO) clean ./...
-	rm -f bench.fig11.txt bench.sched.txt bench.fleet.txt bench.domains.txt
+	rm -f bench.fig11.txt bench.sched.txt bench.fleet.txt

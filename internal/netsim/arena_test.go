@@ -3,10 +3,24 @@ package netsim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The timer arena recycles slots through generations; these tests pin
 // the handle semantics and the exactness of Pending.
+
+// TestTimerSlotSize pins the arena entry at 72 bytes on 64-bit
+// platforms: the dispatch key is (deadline, seq) and nothing else, so
+// a field that grows the slot has to justify the extra cache traffic
+// on every schedule and dispatch.
+func TestTimerSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(timerSlot{}); got != 72 {
+		t.Fatalf("timerSlot is %d bytes, want 72", got)
+	}
+}
 
 func TestStopRemovesFromHeapImmediately(t *testing.T) {
 	s := NewSimulator()

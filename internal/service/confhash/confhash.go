@@ -21,7 +21,8 @@
 //     an empty population mix becomes workload.DefaultMix, …), so a
 //     config relying on defaults and one spelling them out are the same
 //     key. Execution-only knobs that the determinism contract proves
-//     cannot change results — Domains, the worker pool — are excluded.
+//     cannot change results — the worker pool, the watchdog — are
+//     excluded.
 //
 // Configurations whose outcome is not a pure function of the config are
 // rejected rather than mis-cached: a non-nil Impair hook (arbitrary
@@ -250,8 +251,6 @@ func FleetKey(j runner.FleetJob) (string, error) {
 //   - A positive WallLimit is folded into Observe (a wall-limited job
 //     runs with the flight recorder attached) and then cleared: the
 //     watchdog only matters on stalled runs, which are never cached.
-//   - Domains is cleared: the parallel-domain determinism contract
-//     guarantees identical results at any domain count.
 //   - A non-nil Impair hook is arbitrary code and rejects the job.
 func NormalizeJob(j runner.Job) (runner.Job, error) {
 	if j.Impair != nil {
@@ -281,7 +280,6 @@ func NormalizeJob(j runner.Job) (runner.Job, error) {
 	}
 	j.Observe = j.Observe || j.WallLimit > 0
 	j.WallLimit = 0
-	j.Domains = 0
 	return j, nil
 }
 
@@ -315,7 +313,6 @@ func NormalizeFleetJob(j runner.FleetJob) (runner.FleetJob, error) {
 	}
 	j.Observe = j.Observe || j.WallLimit > 0
 	j.WallLimit = 0
-	j.Domains = 0
 	if len(j.Pop.Mix) == 0 {
 		j.Pop.Mix = workload.DefaultMix()
 	}

@@ -58,18 +58,9 @@ func TestJobKeyDefaultedEqualsExplicit(t *testing.T) {
 }
 
 // Execution knobs the determinism contract covers must not key the
-// cache: worker/domain parallelism and the watchdog produce identical
-// records.
+// cache: the watchdog produces identical records.
 func TestJobKeyIgnoresExecutionKnobs(t *testing.T) {
 	j := baseJob()
-	base := mustJobKey(t, j)
-
-	j.Domains = 8
-	if mustJobKey(t, j) != base {
-		t.Error("Domains changed the key: parallel domains are byte-identical by contract")
-	}
-	j.Domains = 0
-
 	// WallLimit folds into Observe: a guarded job is an observed job.
 	j.WallLimit = time.Minute
 	withWall := mustJobKey(t, j)

@@ -19,7 +19,9 @@ import (
 // written by an earlier daemon only keeps hitting if these strings never
 // move, so any change to the canonical rendering or to normalization
 // must fail here before it silently turns every stored cell into a miss.
-// Update a value only together with a deliberate cache-format break.
+// Update a value only together with a deliberate cache-format break:
+// bump the service's cache magic and add the new (magic, sweep key
+// digest) pair to the service package's cacheFormats.
 
 func goldenFig11Jobs() []runner.Job {
 	return experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, 1)
@@ -49,12 +51,12 @@ func TestJobKeyGolden(t *testing.T) {
 		job  runner.Job
 		want string
 	}{
-		{"fig11/bbr", bbr, "job:92dfea839c2467f2396e35cea5f3af400acd72679dca568f48128534a0427521"},
-		{"fig11/suss", suss, "job:eeea44cda7bfaad960ad4536de06224a6236be133d671974986a5669cc0a1625"},
-		{"fig11/cubic", cubic, "job:a2fe7593bb7131f5c62a546545eb767d18e492c88596716e397ebd0a17ba4280"},
-		{"fig11/suss-explicit-opt", explicitOpt, "job:b695442899d512683e0377b1eb422922034eddda7687e062b29b087e6ea2a704"},
-		{"fig11/cubic-frto-transport", transport, "job:0eb33aeed33dfee4617387eee551552acfbce4433172aea62cc0e9e179e72f86"},
-		{"fig11/last-cell-observed", last, "job:0b49915c5c39b24f3f1a31233d714c56e5728d1dc864bc556aab8c4970756502"},
+		{"fig11/bbr", bbr, "job:2348ecc3a01a2eb4c8c716681eb39dd5ffb4074728a5cfbf9ac0cb25695951b5"},
+		{"fig11/suss", suss, "job:1ca13a1e32b4996768f28292e62e6bf0e15e45c6cbdb9bff29c7a5fd052d067f"},
+		{"fig11/cubic", cubic, "job:53311185932f0706277d4d8520cd585b56ff936eacf10cefa8044f18a4502bbc"},
+		{"fig11/suss-explicit-opt", explicitOpt, "job:501470cda63328f41966078b3463822de0e11ed42f809f442df2d36ffddcee06"},
+		{"fig11/cubic-frto-transport", transport, "job:46f7b155f18798b8cfa0933bf867268ee358695b75c584911956e496c4682f86"},
+		{"fig11/last-cell-observed", last, "job:ed5f967deacb53c44b75ab100f60306349e013d153c481066e45091c1a405fb9"},
 	}
 	for _, c := range cases {
 		if got := mustJobKey(t, c.job); got != c.want {
@@ -77,8 +79,8 @@ func TestFleetKeyGolden(t *testing.T) {
 		job  runner.FleetJob
 		want string
 	}{
-		{"fleet/smoke-suss-shard2", smoke, "fleet:b99a4116f0a18ecdfa09b2baa0413aa4cb096b08fde926642ccb3c29a805d5a1"},
-		{"fleet/default-mix-lognormal-arrivals", lognormal, "fleet:08e9d267abe670c53b10dcf5acdf454fe181249aa880364bb0b1afbb4d0ba22e"},
+		{"fleet/smoke-suss-shard2", smoke, "fleet:df254678645b3504938787d51b866b82729d6016432921bfcbc38d39539423e4"},
+		{"fleet/default-mix-lognormal-arrivals", lognormal, "fleet:1b80f53c2c4cd261dd60be085b46404a98c0dfbbb1866f87c4143ba94c29ce30"},
 	}
 	for _, c := range cases {
 		if got := mustFleetKey(t, c.job); got != c.want {
@@ -149,7 +151,7 @@ func TestSweepKeysDigestGolden(t *testing.T) {
 			}
 		}
 	}
-	const want = "a601f2bdaaeb155cf3fe7000d7f49b12cb55802f4637d5048dd46b60e7c0c367"
+	const want = "b5416e958a485f301685c6ec6d7ef68cacb06cb273405b925d6f921d9bdb31a2"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("sweep key digest %s, want %s", got, want)
 	}

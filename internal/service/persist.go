@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // The durable half of the content-addressed cache: an append-only
@@ -22,7 +23,7 @@ import (
 //
 // File layout:
 //
-//	header  "sussdcache/1\n"
+//	header  "sussdcache/2\n"
 //	record  u32(BE) payload length
 //	        [32]byte sha256(payload)
 //	        payload = u16(BE) key length | key | value
@@ -30,9 +31,17 @@ import (
 // Records are immutable and never rewritten (a key is a hash of
 // everything that determines the value), so append is the only write
 // path and replay order is irrelevant beyond last-write-wins.
+//
+// The header's version moves whenever the cache keys or the record
+// values stop meaning what an older daemon wrote: a key is a hash of a
+// config's canonical text, so changing a config type changes every
+// key. A file in another sussdcache version is reset at startup —
+// truncated to a fresh header, with the reason in RecoveryInfo —
+// instead of replaying records no current key can reach.
 
 const (
-	cacheMagic = "sussdcache/1\n"
+	cacheMagic  = "sussdcache/2\n"
+	magicPrefix = "sussdcache/"
 	// maxRecordLen bounds one record's payload: a fleet shard cell is
 	// the largest record (per-flow JSON), well under this.
 	maxRecordLen = 1 << 26
@@ -118,10 +127,18 @@ func replay(f *os.File, entries map[string]cacheEntry) (RecoveryInfo, int64, err
 		info.Truncated, info.DroppedBytes, info.Reason = true, size, "torn header"
 		return info, 0, nil
 	}
-	if string(hdr) != cacheMagic {
-		// A full-length header that is not ours is somebody else's file;
-		// refusing beats silently destroying it.
-		return info, 0, fmt.Errorf("cache file has bad magic %q (not a sussd cache)", hdr)
+	if h := string(hdr); h != cacheMagic {
+		if !strings.HasPrefix(h, magicPrefix) {
+			// A full-length header that is not ours is somebody else's
+			// file; refusing beats silently destroying it.
+			return info, 0, fmt.Errorf("cache file has bad magic %q (not a sussd cache)", hdr)
+		}
+		// Our file in another format version: its keys are dead.
+		old, _, _ := strings.Cut(h, "\n")
+		info.Truncated, info.DroppedBytes = true, size
+		info.Reason = fmt.Sprintf("cache format %s superseded by %s; file reset",
+			old, strings.TrimSpace(cacheMagic))
+		return info, 0, nil
 	}
 	good := int64(len(cacheMagic))
 	frame := make([]byte, frameLen)

@@ -3,11 +3,17 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"suss/internal/experiments"
+	"suss/internal/scenarios"
+	"suss/internal/service/confhash"
 )
 
 func tmpCachePath(t *testing.T) string {
@@ -231,5 +237,102 @@ func TestPersistImplausibleLengthTruncates(t *testing.T) {
 	}
 	if !strings.Contains(info.Reason, "implausible") {
 		t.Errorf("recovery reason %q does not mention the length", info.Reason)
+	}
+}
+
+// A cache file written in another sussdcache format version is ours
+// but dead: its keys hash a config shape the current code no longer
+// renders. Startup resets it to an empty current-version log and says
+// why in /v1/stats instead of replaying records nothing can hit.
+func TestPersistOtherFormatVersionResets(t *testing.T) {
+	path := tmpCachePath(t)
+	c, _ := mustOpen(t, path)
+	fillCache(t, c, 5)
+	c.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("sussdcache/1\n"), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	size := fileSize(t, path)
+
+	s, cl := newServerClient(t, Config{Workers: 1, CacheFile: path})
+	st := cl.stats()
+	if st.CacheReplayed != 0 || st.CacheDroppedBytes != size {
+		t.Errorf("stats replayed=%d dropped=%d, want 0 replayed and all %d bytes dropped",
+			st.CacheReplayed, st.CacheDroppedBytes, size)
+	}
+	if !strings.Contains(st.CacheDropReason, "sussdcache/1") || !strings.Contains(st.CacheDropReason, "superseded") {
+		t.Errorf("cache_drop_reason %q does not name the superseded format", st.CacheDropReason)
+	}
+	drain(t, s)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != cacheMagic {
+		t.Fatalf("reset file holds %q, want just the %q header", raw, cacheMagic)
+	}
+
+	c2, info := mustOpen(t, path)
+	defer c2.Close()
+	if info.Entries != 0 || info.Truncated {
+		t.Errorf("reopen after reset = %+v, want an empty clean log", info)
+	}
+	if _, ok := c2.Get("key-0000", stringCell); ok {
+		t.Error("a record from the superseded format was served")
+	}
+}
+
+// cacheFormats maps every cache header version ever shipped to the
+// digest of the service's sweep keys under it (three fig11 and three
+// fleet seeds; see sweepKeysDigest). Entries are history: when a
+// change moves the keys, bump cacheMagic and add a line — never edit
+// one — so a file written under old keys is reset, not replayed.
+var cacheFormats = map[string]string{
+	"sussdcache/1\n": "a601f2bdaaeb155cf3fe7000d7f49b12cb55802f4637d5048dd46b60e7c0c367",
+	"sussdcache/2\n": "b5416e958a485f301685c6ec6d7ef68cacb06cb273405b925d6f921d9bdb31a2",
+}
+
+func sweepKeysDigest(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, j := range experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, seed) {
+			k, err := confhash.JobKey(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.WriteString(h, k+"\n")
+		}
+		fc := experiments.DefaultFleetConfig(seed)
+		for _, j := range experiments.FleetJobs(fc) {
+			for shard := 0; shard < fc.Shards; shard++ {
+				j.Shard = shard
+				k, err := confhash.FleetKey(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.WriteString(h, k+"\n")
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The cache header and the keys it indexes move together: keys that
+// changed under an unchanged header would turn every persisted record
+// into a silent miss (or, worse, a stale hit).
+func TestCacheMagicPinsKeyDigest(t *testing.T) {
+	want, ok := cacheFormats[cacheMagic]
+	if !ok {
+		t.Fatalf("cacheMagic %q has no entry in cacheFormats", cacheMagic)
+	}
+	if got := sweepKeysDigest(t); got != want {
+		t.Fatalf("sweep key digest %s under %q, pinned %s: the cache keys moved — bump cacheMagic and add the new pair to cacheFormats",
+			got, cacheMagic, want)
 	}
 }

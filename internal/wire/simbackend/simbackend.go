@@ -70,8 +70,8 @@ type Conn struct {
 	h       wire.Handler
 	scratch wire.Segment
 	// decodeDrops counts delivered frames that failed the strict
-	// decode. A conn lives in one event domain, so a plain counter
-	// suffices.
+	// decode. A conn runs on one single-threaded simulator, so a plain
+	// counter suffices.
 	decodeDrops uint64
 
 	// seqNear/ackNear anchor the 32→64-bit unwrap of outgoing wire
